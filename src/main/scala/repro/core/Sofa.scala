@@ -70,12 +70,14 @@ object Sofa {
     */
   def cluster(items: Iterator[Center], cfg: Config): IndexedSeq[Center] = {
     val rng = new Random(cfg.seed)
+    val index = new CenterIndex
     var lb = 1.0
     var restarts = 0
     var pending: Iterator[Center] = items
 
     while (true) {
       val centers = ArrayBuffer.empty[Center]
+      index.clear()
       val f = lb / (cfg.k * (1.0 + math.log(cfg.nRight.toDouble)))
       var cost = 0.0
       var overflow = false
@@ -84,18 +86,15 @@ object Sofa {
         val u = pending.next()
         if (centers.isEmpty) {
           centers += u
+          index.add(u.vec)
         } else {
-          var best = 0; var bestD = Double.MaxValue
-          var j = 0
-          while (j < centers.length) {
-            val d = centers(j).vec.asymDistTo(u.vec, cfg.alpha)
-            if (d < bestD) { bestD = d; best = j }
-            j += 1
-          }
+          val best = index.nearest(u.vec, cfg.alpha)
+          val bestD = index.nearestDist
           val sampled = restarts < cfg.maxRestarts &&
             rng.nextDouble() < math.min(u.weight.toDouble * bestD / f, 1.0)
           if (sampled) {
             centers += u
+            index.add(u.vec)
             if (centers.length >= cfg.cMax) overflow = true
           } else {
             cost += u.weight.toDouble * bestD
@@ -119,6 +118,127 @@ object Sofa {
       pending = centers.iterator ++ unread
     }
     sys.error("unreachable")
+  }
+
+  /** Exact nearest-center search over the centers of one pass, by
+    * postings from right vertex to the ids of the centers containing
+    * it (the candidate generation of Bayardo et al., WWW'07). Walking
+    * the postings of `Γ(u)` gives `I_j = |c_j ∩ u|` for every center
+    * at once, and `d_j = (|u| − I_j) + α(|c_j| − I_j)` is the double
+    * expression of [[SparseVec.asymDistTo]], so the argmin, its
+    * lowest-index tie-break and its distance equal those of a scan of
+    * every center. A query costs `Σ_{v∈Γ(u)} |postings(v)| + |C|`.
+    *
+    * Columns are keys of an open-addressing table, so any `Int` is a
+    * valid column (input indices are not range-checked) and the memory
+    * is `O(Σ nnz(c))` ints: postings plus one slot per distinct column
+    * of the centers. It lives only for one `cluster` call and is not
+    * part of the retained state.
+    */
+  private final class CenterIndex {
+    private var keys = new Array[Int](64)
+    private var postings = new Array[Array[Int]](64) // null marks a free slot
+    private var sizes = new Array[Int](64)
+    private var occupied = 0
+    private var centerNnz = new Array[Int](16)
+    private var inter = new Array[Int](16) // all zero between queries
+    private var count = 0
+
+    /** Distance from the last [[nearest]] query to the center it returned. */
+    var nearestDist: Double = Double.MaxValue
+
+    /** Forget all centers. The table keeps its columns and arrays: a
+      * restart re-streams the same centers, so it would refill them.
+      */
+    def clear(): Unit = {
+      java.util.Arrays.fill(sizes, 0)
+      count = 0
+    }
+
+    /** Append a center; its id is the number of centers added before it. */
+    def add(v: SparseVec): Unit = {
+      if (count == centerNnz.length) {
+        centerNnz = java.util.Arrays.copyOf(centerNnz, 2 * count)
+        inter = java.util.Arrays.copyOf(inter, 2 * count)
+      }
+      centerNnz(count) = v.nnz
+      val idx = v.idx
+      var p = 0
+      while (p < idx.length) {
+        val s = slotOf(idx(p))
+        if (sizes(s) == postings(s).length)
+          postings(s) = java.util.Arrays.copyOf(postings(s), 2 * sizes(s))
+        postings(s)(sizes(s)) = count
+        sizes(s) += 1
+        p += 1
+      }
+      count += 1
+    }
+
+    /** Id of the center nearest to `u` (lowest id among ties); sets
+      * [[nearestDist]]. Requires at least one center.
+      */
+    def nearest(u: SparseVec, alpha: Double): Int = {
+      val idx = u.idx
+      var p = 0
+      while (p < idx.length) {
+        val s = probe(idx(p))
+        val ids = postings(s)
+        if (ids != null) {
+          val n = sizes(s)
+          var q = 0
+          while (q < n) { inter(ids(q)) += 1; q += 1 }
+        }
+        p += 1
+      }
+      val un = u.nnz
+      var best = 0; var bestD = Double.MaxValue
+      var j = 0
+      while (j < count) {
+        val i = inter(j)
+        inter(j) = 0
+        val d = (un - i).toDouble + alpha * (centerNnz(j) - i).toDouble
+        if (d < bestD) { bestD = d; best = j }
+        j += 1
+      }
+      nearestDist = bestD
+      best
+    }
+
+    /** The slot holding `col`, or the free slot where it would go. */
+    private def probe(col: Int): Int = {
+      val mask = keys.length - 1
+      val h = col * 0x9e3779b9
+      var s = (h ^ (h >>> 16)) & mask
+      while (postings(s) != null && keys(s) != col) s = (s + 1) & mask
+      s
+    }
+
+    private def slotOf(col: Int): Int = {
+      if (2 * (occupied + 1) > keys.length) grow()
+      val s = probe(col)
+      if (postings(s) == null) {
+        keys(s) = col
+        postings(s) = new Array[Int](4)
+        occupied += 1
+      }
+      s
+    }
+
+    private def grow(): Unit = {
+      val (oldKeys, oldPostings, oldSizes) = (keys, postings, sizes)
+      keys = new Array[Int](2 * oldKeys.length)
+      postings = new Array[Array[Int]](keys.length)
+      sizes = new Array[Int](keys.length)
+      var t = 0
+      while (t < oldKeys.length) {
+        if (oldPostings(t) != null) {
+          val s = probe(oldKeys(t))
+          keys(s) = oldKeys(t); postings(s) = oldPostings(t); sizes(s) = oldSizes(t)
+        }
+        t += 1
+      }
+    }
   }
 
   /** Postprocessing with the static k-medians step (Lines 21–25): group

@@ -25,8 +25,10 @@ final class SofaStreamState(val cfg: Sofa.Config) extends Serializable {
 
   /** Fold one micro-batch into the state. */
   def update(batch: Dataset[LeftVertex])(implicit spark: SparkSession): Unit = {
-    if (batch.isEmpty) return
     val batchCenters = SofaDistributed.firstPass(batch, cfg)
+    // Only an empty batch yields no centers. Replaying the state alone
+    // from LB = 1 can change it, so such a batch leaves it as it is.
+    if (batchCenters.isEmpty) return
     seen += batchCenters.map(_.weight).sum
     centerState = Sofa.cluster((centerState ++ batchCenters).iterator, cfg)
   }

@@ -113,6 +113,17 @@ class SofaSpec extends SparkSpec {
     assert(merged.length < c.cMax)
   }
 
+  test("column indices outside [0, nRight) give the linear scan's centers") {
+    val c = Sofa.Config(k = 2, cMax = 5, nRight = 10, mgCapacity = 8)
+    val vecs = Seq(SparseVec(-5, 3, 12), SparseVec(Int.MinValue, 0, Int.MaxValue),
+      SparseVec(3, 12), SparseVec(-5, -1), SparseVec(10, 11, 12), SparseVec.empty,
+      SparseVec(Int.MaxValue), SparseVec(-5, 3, 12), SparseVec(1, 2, 3))
+    def items() = Iterator.fill(4)(vecs).flatten.map(Sofa.freshItem(_, c))
+    val out = Sofa.cluster(items(), c)
+    assert(NaiveSofa.sameCenters(NaiveSofa.cluster(items(), c), out))
+    assert(out.map(_.weight).sum == 4 * vecs.length)
+  }
+
   test("empty stream yields no centers") {
     val c = cfg(2, 100)
     assert(Sofa.cluster(Iterator.empty, c).isEmpty)

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 
 import repro.SparkSpec
-import repro.core.{LeftVertex, Metrics, SecondPass, Sofa, SofaDistributed}
+import repro.core.{LeftVertex, Metrics, NaiveSofa, SecondPass, Sofa, SofaDistributed}
 import repro.data.Bipartite
 
 class SofaStreamSpec extends SparkSpec {
@@ -56,8 +56,18 @@ class SofaStreamSpec extends SparkSpec {
   test("empty batch is a no-op") {
     import s.implicits._
     val state = new SofaStreamState(cfg)
-    state.update(s.createDataset(Seq.empty[LeftVertex]))
+    val empty = s.createDataset(Seq.empty[LeftVertex])
+    state.update(empty)
     assert(state.verticesSeen == 0 && state.centers.isEmpty)
+
+    // Between two batches it changes nothing either.
+    val (a, b) = vertices.splitAt(vertices.length / 2)
+    val withEmpty = new SofaStreamState(cfg)
+    Seq(s.createDataset(a.toSeq), empty, s.createDataset(b.toSeq)).foreach(withEmpty.update(_))
+    val without = new SofaStreamState(cfg)
+    Seq(s.createDataset(a.toSeq), s.createDataset(b.toSeq)).foreach(without.update(_))
+    assert(withEmpty.verticesSeen == without.verticesSeen)
+    assert(NaiveSofa.sameCenters(withEmpty.centers, without.centers))
   }
 
   test("structured streaming via MemoryStream drives the state end-to-end") {
